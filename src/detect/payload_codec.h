@@ -3,15 +3,15 @@
 //
 // The encoded payload is framed, versioned, and CRC-checked by the
 // checkpoint writer; these helpers only serialize trivially-copyable scalars
-// and double vectors into/out of a contiguous buffer, throwing
+// (and, writing, spans of doubles) into/out of a contiguous buffer, throwing
 // util::ParseError on any read past the end so a truncated payload can never
 // be half-applied.
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "util/error.h"
 
@@ -26,7 +26,7 @@ class PayloadWriter {
     buf_.append(bytes, sizeof(value));
   }
 
-  void put_times(const std::vector<double>& v) {
+  void put_times(std::span<const double> v) {
     put(static_cast<std::uint64_t>(v.size()));
     if (!v.empty())
       buf_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double));
@@ -51,16 +51,6 @@ class PayloadReader {
     std::memcpy(&value, buf_.data() + pos_, sizeof(value));
     pos_ += sizeof(value);
     return value;
-  }
-
-  std::vector<double> take_times() {
-    const auto n = take<std::uint64_t>();
-    if (pos_ + n * sizeof(double) > buf_.size())
-      throw util::ParseError("checkpoint: truncated payload");
-    std::vector<double> v(static_cast<std::size_t>(n));
-    if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(double));
-    pos_ += v.size() * sizeof(double);
-    return v;
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }

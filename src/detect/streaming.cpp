@@ -133,25 +133,27 @@ void StreamingDetector::roll_to(double time) {
 }
 
 void StreamingDetector::emit() {
-  const obs::StageTimer close_timer(obs::Stage::kWindowClose);
-  // Finalize per-destination state (churn + interstitials) via the same
-  // helper as the batch extractor.
-  FeatureMap features = acc_.finalize(config_.new_ip_grace);
-
   WindowVerdict verdict;
-  verdict.window_index = windows_emitted_;
-  verdict.window_start = window_start_;
-  verdict.window_end = window_start_ + config_.window;
-  verdict.flows_seen = flows_in_window_;
-  verdict.degraded = acc_.hosts_shed() > 0;
-  verdict.hosts_shed = acc_.hosts_shed();
-  verdict.timing_samples_shed = acc_.timing_samples_shed();
-  if (!features.empty()) {
-    verdict.result =
-        find_plotters(features, config_.pipeline, config_.signature_cache ? &hm_cache_ : nullptr);
+  {
+    // The window_close stage ends when the sink returns: tearing the
+    // window's state down afterwards is not part of the verdict's latency.
+    const obs::StageTimer close_timer(obs::Stage::kWindowClose);
+    FeatureMap features = acc_.finalize(config_.new_ip_grace);
+
+    verdict.window_index = windows_emitted_;
+    verdict.window_start = window_start_;
+    verdict.window_end = window_start_ + config_.window;
+    verdict.flows_seen = flows_in_window_;
+    verdict.degraded = acc_.hosts_shed() > 0;
+    verdict.hosts_shed = acc_.hosts_shed();
+    verdict.timing_samples_shed = acc_.timing_samples_shed();
+    if (!features.empty()) {
+      verdict.result = find_plotters(features, config_.pipeline,
+                                     config_.signature_cache ? &hm_cache_ : nullptr);
+    }
+    verdict.features = std::move(features);
+    sink_(verdict);
   }
-  verdict.features = std::move(features);
-  sink_(verdict);
 
   if (obs::enabled()) {
     StreamObs& o = StreamObs::get();

@@ -144,11 +144,10 @@ class StreamingDetector {
   VerdictSink sink_;
 
   // Per-host accumulation for the current window (see detect/accumulator.h):
-  // scalar counters update flow by flow; per-destination start times
-  // accumulate raw and are finalized (sorted -> churn + interstitials) by
-  // the shared finalize_destinations() when the window closes, exactly as
-  // in the batch extractor. The sharded detector reuses the same class, one
-  // accumulator per shard.
+  // scalar counters update flow by flow; per-destination start times go to
+  // an append log that is grouped and finalized (churn + interstitials) when
+  // the window closes, matching the batch extractor. The sharded detector
+  // reuses the same class, one accumulator per shard.
   WindowAccumulator acc_;
 
   HmCache hm_cache_;

@@ -22,15 +22,13 @@ HashRing::HashRing(std::size_t shards, std::size_t vnodes)
     }
   }
   std::sort(points_.begin(), points_.end());
-}
-
-std::size_t HashRing::shard_of(simnet::Ipv4 host) const {
-  if (shards_ == 1) return 0;
-  const std::uint64_t h = splitmix64(host.value());
-  auto it = std::upper_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, ~std::uint32_t{0}));
-  if (it == points_.end()) it = points_.begin();  // wrap past the last point
-  return it->second;
+  bucket_first_.resize(std::size_t{1} << kBucketBits);
+  std::size_t p = 0;
+  for (std::size_t b = 0; b < bucket_first_.size(); ++b) {
+    const std::uint64_t bucket_start = static_cast<std::uint64_t>(b) << (64 - kBucketBits);
+    while (p < points_.size() && points_[p].first < bucket_start) ++p;
+    bucket_first_[b] = static_cast<std::uint32_t>(p);
+  }
 }
 
 }  // namespace tradeplot::shard

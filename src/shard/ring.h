@@ -41,9 +41,24 @@ class HashRing {
   /// Throws util::ConfigError if shards == 0 or vnodes == 0.
   explicit HashRing(std::size_t shards, std::size_t vnodes = kDefaultVnodes);
 
-  /// The shard owning `host` (uniform across the ring; one-shard rings
-  /// short-circuit to 0).
-  [[nodiscard]] std::size_t shard_of(simnet::Ipv4 host) const;
+  /// The shard owning `host`: the first ring point strictly after the
+  /// host's hash, wrapping past the last point (one-shard rings
+  /// short-circuit to 0). O(1): a bucket table jumps to the first point of
+  /// the hash's top-bits bucket, from which ~0 points are scanned.
+  [[nodiscard]] std::size_t shard_of(simnet::Ipv4 host) const {
+    return shards_ == 1 ? 0 : shard_of_hash(splitmix64(host.value()));
+  }
+  /// The shard owning ring position `h` (shard_of after hashing).
+  [[nodiscard]] std::size_t shard_of_hash(std::uint64_t h) const {
+    if (shards_ == 1) return 0;
+    // Every point before the bucket's first lies below h, so the first
+    // point above h is found by scanning forward from it — the same point
+    // upper_bound over the whole ring would return.
+    std::size_t p = bucket_first_[h >> (64 - kBucketBits)];
+    while (p < points_.size() && points_[p].first <= h) ++p;
+    if (p == points_.size()) p = 0;  // wrap past the last point
+    return points_[p].second;
+  }
 
   [[nodiscard]] std::size_t shards() const { return shards_; }
   [[nodiscard]] std::size_t vnodes() const { return vnodes_; }
@@ -54,6 +69,11 @@ class HashRing {
   /// Ring points sorted by (hash, shard) — the shard tiebreak makes the
   /// astronomically-unlikely hash collision deterministic too.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+  /// bucket_first_[b]: index of the first point whose hash is at or after
+  /// bucket b's start (b = top kBucketBits of the hash); points_.size()
+  /// when none is.
+  static constexpr unsigned kBucketBits = 12;
+  std::vector<std::uint32_t> bucket_first_;
 };
 
 }  // namespace tradeplot::shard

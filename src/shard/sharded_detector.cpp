@@ -140,62 +140,65 @@ void ShardedDetector::roll_to(double time) {
 }
 
 void ShardedDetector::emit() {
-  const obs::StageTimer close_timer(obs::Stage::kWindowClose);
   const std::size_t shards = config_.shards;
-
-  // Finalize every shard's features in parallel (each writes its own slot).
-  std::vector<detect::FeatureMap> shard_features(shards);
-  util::parallel_for(0, shards, 1, config_.threads, [&](std::size_t s) {
-    shard_features[s] = accumulators_[s].finalize(config_.new_ip_grace);
-  });
-
-  std::size_t hosts_shed = 0, samples_shed = 0;
-  for (const detect::WindowAccumulator& acc : accumulators_) {
-    hosts_shed += acc.hosts_shed();
-    samples_shed += acc.timing_samples_shed();
-  }
-
   detect::WindowVerdict verdict;
-  verdict.window_index = windows_emitted_;
-  verdict.window_start = window_start_;
-  verdict.window_end = window_start_ + config_.window;
-  verdict.flows_seen = flows_in_window_;
-  verdict.degraded = hosts_shed > 0;
-  verdict.hosts_shed = hosts_shed;
-  verdict.timing_samples_shed = samples_shed;
+  std::vector<detect::FeatureMap> shard_features(shards);
+  {
+    // The window_close stage ends when the sink returns, as in
+    // StreamingDetector: teardown after the verdict is not its latency.
+    const obs::StageTimer close_timer(obs::Stage::kWindowClose);
+    // Finalize every shard's features in parallel (each writes its own slot).
+    util::parallel_for(0, shards, 1, config_.threads, [&](std::size_t s) {
+      shard_features[s] = accumulators_[s].finalize(config_.new_ip_grace);
+    });
 
-  if (shards == 1) {
-    // Single shard: the exact StreamingDetector code path, bit for bit.
-    if (!shard_features[0].empty()) {
-      verdict.result = detect::find_plotters(shard_features[0], config_.pipeline,
-                                             config_.signature_cache ? &caches_[0] : nullptr);
+    std::size_t hosts_shed = 0, samples_shed = 0;
+    for (const detect::WindowAccumulator& acc : accumulators_) {
+      hosts_shed += acc.hosts_shed();
+      samples_shed += acc.timing_samples_shed();
     }
-    verdict.features = std::move(shard_features[0]);
-    last_report_ = MergedPipelineReport{};
-    last_report_.shard_count = 1;
-  } else {
-    std::size_t total_hosts = 0;
-    for (const detect::FeatureMap& m : shard_features) total_hosts += m.size();
-    if (total_hosts > 0) {
-      std::vector<detect::HmCache*> caches;
-      if (config_.signature_cache) {
-        caches.reserve(shards);
-        for (detect::HmCache& c : caches_) caches.push_back(&c);
+
+    verdict.window_index = windows_emitted_;
+    verdict.window_start = window_start_;
+    verdict.window_end = window_start_ + config_.window;
+    verdict.flows_seen = flows_in_window_;
+    verdict.degraded = hosts_shed > 0;
+    verdict.hosts_shed = hosts_shed;
+    verdict.timing_samples_shed = samples_shed;
+
+    if (shards == 1) {
+      // Single shard: the exact StreamingDetector code path, bit for bit.
+      if (!shard_features[0].empty()) {
+        verdict.result = detect::find_plotters(shard_features[0], config_.pipeline,
+                                               config_.signature_cache ? &caches_[0] : nullptr);
       }
-      MergedResult m = merged_find_plotters(shard_features, config_.pipeline, caches,
-                                            config_.sketch_k);
-      verdict.result = std::move(m.result);
-      last_report_ = m.report;
-    } else {
+      verdict.features = std::move(shard_features[0]);
       last_report_ = MergedPipelineReport{};
-      last_report_.shard_count = shards;
+      last_report_.shard_count = 1;
+    } else {
+      std::size_t total_hosts = 0;
+      for (const detect::FeatureMap& m : shard_features) total_hosts += m.size();
+      if (total_hosts > 0) {
+        std::vector<detect::HmCache*> caches;
+        if (config_.signature_cache) {
+          caches.reserve(shards);
+          for (detect::HmCache& c : caches_) caches.push_back(&c);
+        }
+        MergedResult m = merged_find_plotters(shard_features, config_.pipeline, caches,
+                                              config_.sketch_k);
+        verdict.result = std::move(m.result);
+        last_report_ = m.report;
+      } else {
+        last_report_ = MergedPipelineReport{};
+        last_report_.shard_count = shards;
+      }
+      verdict.features.reserve(total_hosts);
+      for (detect::FeatureMap& m : shard_features) {
+        for (auto& [host, f] : m) verdict.features.emplace(host, std::move(f));
+      }
     }
-    verdict.features.reserve(total_hosts);
-    for (detect::FeatureMap& m : shard_features) {
-      for (auto& [host, f] : m) verdict.features.emplace(host, std::move(f));
-    }
+    sink_(verdict);
   }
-  sink_(verdict);
 
   if (obs::enabled()) {
     shard_windows_counter().add();

@@ -210,6 +210,47 @@ TEST(HashRingTest, BalancedWithinTolerance) {
   }
 }
 
+TEST(HashRingTest, BucketTableMatchesBinarySearchOverTheRing) {
+  // Reference lookup: the ring points rebuilt from their public definition
+  // and searched with upper_bound, wrapping past the last point.
+  for (const std::size_t vnodes : {std::size_t{1}, std::size_t{64}}) {
+    for (const std::size_t shards : {2u, 3u, 4u, 8u, 64u}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " vnodes " + std::to_string(vnodes));
+      const HashRing ring(shards, vnodes);
+      std::vector<std::pair<std::uint64_t, std::uint32_t>> points;
+      for (std::size_t s = 0; s < shards; ++s)
+        for (std::size_t r = 0; r < vnodes; ++r)
+          points.emplace_back(splitmix64(splitmix64(static_cast<std::uint64_t>(s) << 32 | r)),
+                              static_cast<std::uint32_t>(s));
+      std::sort(points.begin(), points.end());
+      const auto reference = [&](std::uint64_t h) -> std::size_t {
+        auto it = std::upper_bound(points.begin(), points.end(),
+                                   std::make_pair(h, ~std::uint32_t{0}));
+        if (it == points.end()) it = points.begin();
+        return it->second;
+      };
+
+      util::Pcg32 rng(shards * 131 + vnodes);
+      for (int i = 0; i < 100000; ++i) {
+        const simnet::Ipv4 host(static_cast<std::uint32_t>(rng()));
+        ASSERT_EQ(ring.shard_of(host), reference(splitmix64(host.value()))) << host.to_string();
+      }
+      // Hashes at, just before and just after every ring point, the ends of
+      // the hash space (the wrap past the last point), and bucket edges.
+      std::vector<std::uint64_t> probes = {0, 1, ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+      for (const auto& [p, s] : points) {
+        probes.push_back(p);
+        probes.push_back(p - 1);
+        probes.push_back(p + 1);
+        const std::uint64_t bucket = p >> 52 << 52;
+        probes.push_back(bucket);
+        probes.push_back(bucket - 1);
+      }
+      for (const std::uint64_t h : probes) ASSERT_EQ(ring.shard_of_hash(h), reference(h)) << h;
+    }
+  }
+}
+
 TEST(HashRingTest, RejectsDegenerateGeometry) {
   EXPECT_THROW(HashRing(0), util::ConfigError);
   EXPECT_THROW(HashRing(4, 0), util::ConfigError);
