@@ -32,10 +32,10 @@
 //                                       textfile scraper sees live values
 //   --metrics-format prom|json          snapshot format (default prom)
 //   --shards N                          run the sharded detector with N
-//                                       worker shards (default 1; 1 is
-//                                       bit-identical to the single
-//                                       detector, N>1 merges per-shard
-//                                       sketches and two-level clustering)
+//                                       worker shards (default 1); its
+//                                       verdicts equal the single
+//                                       detector's at every N unless a
+//                                       timing budget sheds
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -1,287 +1,19 @@
 #include "shard/merge.h"
 
-#include <algorithm>
-#include <cstddef>
-#include <utility>
-
-#include "detect/hm_cache.h"
-#include "detect/human_machine.h"
-#include "stats/descriptive.h"
-#include "stats/emd.h"
-#include "stats/hcluster.h"
-#include "stats/quantile_sketch.h"
 #include "util/error.h"
 
 namespace tradeplot::shard {
 
-namespace {
-
-using detect::FeatureMap;
-using detect::HostFeatures;
-using detect::HostSet;
-
-const HostFeatures& features_of(const FeatureMap& features, simnet::Ipv4 host) {
-  const auto it = features.find(host);
-  if (it == features.end())
-    throw util::ConfigError("host " + host.to_string() + " missing from feature map");
-  return it->second;
-}
-
-/// One shard's scalar-stage columns, hosts address-sorted so every pass is
-/// deterministic regardless of FeatureMap iteration order.
-struct ShardColumns {
-  HostSet hosts;
-  std::vector<unsigned char> eligible;  // initiated_success()
-  std::vector<double> rates;            // failed_rate (0 when not eligible)
-  HostSet reduced;
-  HostSet s_vol;
-  HostSet s_churn;
-  HostSet vol_or_churn;
-};
-
-HostSet sorted_concat(const std::vector<HostSet>& parts) {
-  HostSet out;
-  std::size_t total = 0;
-  for (const HostSet& p : parts) total += p.size();
-  out.reserve(total);
-  for (const HostSet& p : parts) out.insert(out.end(), p.begin(), p.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// A shard-local cluster lifted into the global stitch.
-struct Representative {
-  std::size_t shard = 0;
-  std::vector<simnet::Ipv4> members;
-  double diameter = 0.0;
-  stats::Signature signature;  // the medoid's
-};
-
-}  // namespace
-
-MergedResult merged_find_plotters(std::span<const FeatureMap> shard_features,
+MergedResult merged_find_plotters(std::span<const detect::FeatureMap> shard_features,
                                   const detect::FindPlottersConfig& config,
-                                  std::span<detect::HmCache* const> caches,
-                                  std::size_t sketch_k) {
-  if (!caches.empty() && caches.size() != shard_features.size())
-    throw util::ConfigError("merged_find_plotters: one cache slot per shard required");
-  MergedResult merged;
-  detect::FindPlottersResult& result = merged.result;
-  MergedPipelineReport& report = merged.report;
-  const std::size_t shards = shard_features.size();
-  report.shard_count = shards;
-
-  std::vector<ShardColumns> cols(shards);
-  std::vector<HostSet> host_lists(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    cols[s].hosts = detect::all_hosts(shard_features[s]);
-    host_lists[s] = cols[s].hosts;
-  }
-  result.input = sorted_concat(host_lists);
-  if (result.input.empty()) return merged;
-
-  // --- Data reduction: merged eligible failed-rate sketch, then the global
-  // strict-survivor count drives the strict-then-inclusive fallback.
-  stats::QuantileSketch rate_sketch(sketch_k);
-  std::uint64_t eligible_total = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    ShardColumns& c = cols[s];
-    c.eligible.reserve(c.hosts.size());
-    c.rates.reserve(c.hosts.size());
-    stats::QuantileSketch local(sketch_k);
-    for (const simnet::Ipv4 host : c.hosts) {
-      const HostFeatures& f = features_of(shard_features[s], host);
-      const bool ok = f.initiated_success();
-      const double rate = ok ? f.failed_rate() : 0.0;
-      c.eligible.push_back(ok);
-      c.rates.push_back(rate);
-      if (ok) {
-        local.add(rate);
-        ++eligible_total;
-      }
-    }
-    rate_sketch.merge(local);
-  }
-  report.thresholds.eligible_count = eligible_total;
-  if (eligible_total == 0) return merged;  // nobody ever initiated successfully
-  const double reduction_tau = rate_sketch.quantile(config.reduction.percentile);
-  report.thresholds.reduction = reduction_tau;
-  report.thresholds.reduction_error_bound = rate_sketch.error_bound();
-
-  std::uint64_t strict_survivors = 0;
-  for (const ShardColumns& c : cols) {
-    for (std::size_t i = 0; i < c.hosts.size(); ++i)
-      if (c.eligible[i] && c.rates[i] > reduction_tau) ++strict_survivors;
-  }
-  bool inclusive = false;
-  switch (config.reduction.comparison) {
-    case detect::ReductionComparison::kStrict:
-      break;
-    case detect::ReductionComparison::kInclusive:
-      inclusive = true;
-      break;
-    case detect::ReductionComparison::kStrictThenInclusive:
-      // The fallback decision must be global: one shard may have strict
-      // survivors while another has only ties, and the single detector
-      // would still use strict `>` everywhere.
-      inclusive = strict_survivors == 0;
-      break;
-  }
-  report.reduction_inclusive = inclusive;
-  for (std::size_t s = 0; s < shards; ++s) {
-    ShardColumns& c = cols[s];
-    for (std::size_t i = 0; i < c.hosts.size(); ++i) {
-      if (!c.eligible[i]) continue;
-      if (c.rates[i] > reduction_tau || (inclusive && c.rates[i] == reduction_tau))
-        c.reduced.push_back(c.hosts[i]);
-    }
-    host_lists[s] = c.reduced;
-  }
-  result.reduced = sorted_concat(host_lists);
-  report.thresholds.reduced_count = result.reduced.size();
-  if (result.reduced.empty()) return merged;
-
-  // --- θ_vol and θ_churn: merged sketches over the reduced population,
-  // strict `<` selection against the merged percentile (the same comparator
-  // as detect::volume_test / churn_test).
-  stats::QuantileSketch vol_sketch(sketch_k);
-  stats::QuantileSketch churn_sketch(sketch_k);
-  std::vector<std::vector<double>> vol_values(shards);
-  std::vector<std::vector<double>> churn_values(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    stats::QuantileSketch vol_local(sketch_k);
-    stats::QuantileSketch churn_local(sketch_k);
-    vol_values[s].reserve(cols[s].reduced.size());
-    churn_values[s].reserve(cols[s].reduced.size());
-    for (const simnet::Ipv4 host : cols[s].reduced) {
-      const HostFeatures& f = features_of(shard_features[s], host);
-      const double vol = f.volume(config.volume.metric);
-      const double churn = f.new_ip_fraction();
-      vol_values[s].push_back(vol);
-      churn_values[s].push_back(churn);
-      vol_local.add(vol);
-      churn_local.add(churn);
-    }
-    vol_sketch.merge(vol_local);
-    churn_sketch.merge(churn_local);
-  }
-  const double tau_vol = vol_sketch.quantile(config.volume.percentile);
-  const double tau_churn = churn_sketch.quantile(config.churn.percentile);
-  report.thresholds.vol = tau_vol;
-  report.thresholds.churn = tau_churn;
-  report.thresholds.vol_error_bound = vol_sketch.error_bound();
-  report.thresholds.churn_error_bound = churn_sketch.error_bound();
-
-  for (std::size_t s = 0; s < shards; ++s) {
-    ShardColumns& c = cols[s];
-    for (std::size_t i = 0; i < c.reduced.size(); ++i) {
-      if (vol_values[s][i] < tau_vol) c.s_vol.push_back(c.reduced[i]);
-      if (churn_values[s][i] < tau_churn) c.s_churn.push_back(c.reduced[i]);
-    }
-    c.vol_or_churn = detect::host_union(c.s_vol, c.s_churn);
-  }
-  for (std::size_t s = 0; s < shards; ++s) host_lists[s] = cols[s].s_vol;
-  result.s_vol = sorted_concat(host_lists);
-  for (std::size_t s = 0; s < shards; ++s) host_lists[s] = cols[s].s_churn;
-  result.s_churn = sorted_concat(host_lists);
-  result.vol_or_churn = detect::host_union(result.s_vol, result.s_churn);
-
-  // --- θ_hm, level one: shard-local clustering (sequential in shard order;
-  // each call parallelizes internally and owns its shard's HmCache).
-  detect::HumanMachineResult& hm = result.hm;
-  std::vector<Representative> reps;
-  for (std::size_t s = 0; s < shards; ++s) {
-    detect::HmCache* cache = caches.empty() ? nullptr : caches[s];
-    detect::LocalClusterResult local = detect::human_machine_local(
-        shard_features[s], cols[s].vol_or_churn, config.human_machine, cache);
-    hm.skipped.insert(hm.skipped.end(), local.skipped.begin(), local.skipped.end());
-    hm.degenerate.insert(hm.degenerate.end(), local.degenerate.begin(),
-                         local.degenerate.end());
-    hm.degraded = hm.degraded || local.degraded;
-    hm.prune.used = hm.prune.used || local.prune.used;
-    hm.prune.pairs_total += local.prune.pairs_total;
-    hm.prune.exact_kernel_evals += local.prune.exact_kernel_evals;
-    hm.prune.cache_hits += local.prune.cache_hits;
-    hm.prune.resolved_pairs += local.prune.resolved_pairs;
-    hm.prune.pivots += local.prune.pivots;
-    hm.prune.scanned += local.prune.scanned;
-    hm.prune.skipped_pivot += local.prune.skipped_pivot;
-    hm.prune.skipped_grid += local.prune.skipped_grid;
-    hm.prune.scan_cache_hits += local.prune.scan_cache_hits;
-    hm.prune.bloom_skips += local.prune.bloom_skips;
-    for (detect::LocalCluster& cluster : local.clusters) {
-      Representative rep;
-      rep.shard = s;
-      rep.members = std::move(cluster.members);
-      rep.diameter = cluster.diameter;
-      rep.signature = std::move(cluster.medoid_signature);
-      reps.push_back(std::move(rep));
-    }
-  }
-  std::sort(hm.skipped.begin(), hm.skipped.end());
-  std::sort(hm.degenerate.begin(), hm.degenerate.end());
-  report.representatives = reps.size();
-  if (reps.empty()) return merged;
-
-  // --- θ_hm, level two: stitch the representatives with weighted UPGMA over
-  // medoid-signature distances, cut, and filter on admissible diameter
-  // upper bounds.
-  const std::size_t r = reps.size();
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<double> rep_dist;
-  if (r == 1) {
-    groups.push_back({0});
-  } else {
-    std::vector<stats::Signature> sigs;
-    sigs.reserve(r);
-    for (const Representative& rep : reps) sigs.push_back(rep.signature);
-    rep_dist = config.human_machine.distance == detect::HmDistance::kBinL1
-                   ? detect::pairwise_bin_l1(sigs, config.human_machine)
-                   : stats::pairwise_emd(sigs, config.human_machine.threads);
-    std::vector<std::size_t> weights;
-    weights.reserve(r);
-    for (const Representative& rep : reps) weights.push_back(rep.members.size());
-    const stats::Dendrogram dendrogram =
-        stats::agglomerative_average_linkage_weighted(rep_dist, r, weights);
-    groups = dendrogram.cut_top_fraction(config.human_machine.cut_fraction);
-  }
-
-  std::vector<double> diameters;
-  for (const auto& group : groups) {
-    detect::HostCluster cluster;
-    // Upper bound on the stitched diameter: within one representative no
-    // pair exceeds its local diameter; across representatives a and b,
-    // d(x, y) <= diam_a + d(medoid_a, medoid_b) + diam_b by the triangle
-    // inequality (both metrics qualify), since the medoid is a member.
-    double diameter = 0.0;
-    for (const std::size_t a : group) diameter = std::max(diameter, reps[a].diameter);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      for (std::size_t j = i + 1; j < group.size(); ++j) {
-        const std::size_t a = group[i], b = group[j];
-        diameter = std::max(diameter, reps[a].diameter + rep_dist[a * r + b] +
-                                          reps[b].diameter);
-      }
-    }
-    for (const std::size_t a : group)
-      cluster.members.insert(cluster.members.end(), reps[a].members.begin(),
-                             reps[a].members.end());
-    std::sort(cluster.members.begin(), cluster.members.end());
-    if (cluster.members.size() < config.human_machine.min_cluster_size) continue;
-    cluster.diameter = diameter;
-    diameters.push_back(diameter);
-    hm.clusters.push_back(std::move(cluster));
-  }
-  if (hm.clusters.empty()) return merged;
-
-  hm.tau_hm = stats::quantile(diameters, config.human_machine.diameter_percentile);
-  for (detect::HostCluster& cluster : hm.clusters) {
-    cluster.kept = cluster.diameter <= hm.tau_hm;
-    if (cluster.kept)
-      hm.flagged.insert(hm.flagged.end(), cluster.members.begin(), cluster.members.end());
-  }
-  std::sort(hm.flagged.begin(), hm.flagged.end());
-  result.plotters = hm.flagged;
-  return merged;
+                                  std::span<detect::HmCache* const> caches, std::size_t) {
+  detect::FeatureMap all;
+  for (const detect::FeatureMap& m : shard_features)
+    for (const auto& [host, f] : m)
+      if (!all.emplace(host, f).second)
+        throw util::ConfigError("merged_find_plotters: host " + host.to_string() +
+                                " appears on two shards");
+  return {detect::find_plotters(all, config, caches.empty() ? nullptr : caches[0])};
 }
 
 }  // namespace tradeplot::shard

@@ -1,41 +1,14 @@
-// Global merge stage of the sharded detector: the cross-shard computations
-// that a per-host partition cannot finish locally.
+// Composed window verdict over per-shard feature maps.
 //
-// The paper's thresholds are all *relative* — percentiles over the live
-// population (§V, §IV) — so every scalar stage needs a global distribution:
-//
-//  * data reduction, θ_vol, θ_churn — each shard summarizes its hosts'
-//    feature values in a mergeable QuantileSketch (stats/quantile_sketch.h);
-//    the merged sketch yields the global threshold together with a tracked
-//    worst-case rank-error bound. For populations up to the sketch capacity
-//    (default 1024 per level) the sketch is lossless and the thresholds are
-//    bit-identical to the exact percentiles the single detector computes.
-//    The reduction's strict-then-inclusive fallback needs one more global
-//    fact — whether strict `>` selects anybody at all — which merges as a
-//    plain sum of per-shard survivor counts.
-//
-//  * θ_hm — two-level clustering. Level one: each shard runs the standard
-//    UPGMA + top-fraction cut over its own hosts (human_machine_local,
-//    sharing the PR-6/9 pruned drivers and the per-shard HmCache) and
-//    exports every local cluster as a representative: medoid signature,
-//    member list, exact local diameter. Level two: the representatives are
-//    stitched globally — dense pairwise distances between medoid signatures
-//    under the same metric, weighted UPGMA (weights = cluster sizes, see
-//    stats::agglomerative_average_linkage_weighted), the same top-fraction
-//    cut, and a τ_hm quantile over the stitched clusters' diameter
-//    estimates. A stitched diameter is an admissible upper bound:
-//    max(local diameters, max over rep pairs of d(medoid_a, medoid_b) +
-//    diam_a + diam_b) — by the triangle inequality (EMD and bin-L1 are both
-//    metrics) no member pair can be farther apart.
-//
-// Everything here is deterministic: shards are merged in ascending index
-// order, per-shard host lists are address-sorted, and the level-two matrix
-// is dense (representative counts are tiny next to the host population).
+// The ring sends every host to exactly one shard, so the shards' finalized
+// feature maps are host-disjoint and their union is the single detector's
+// map. ShardedDetector runs find_plotters once over that union (no copy);
+// this entry point does the same for callers that hold the shards' maps
+// separately.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "detect/find_plotters.h"
 
@@ -45,47 +18,17 @@ class HmCache;
 
 namespace tradeplot::shard {
 
-/// The merged relative thresholds and their sketch error bounds, surfaced
-/// so tests (and operators) can assert how far a merged threshold's rank may
-/// sit from the exact percentile. A bound of 0 means the merged sketch was
-/// lossless and the threshold is bit-identical to the single-detector one.
-struct MergedThresholds {
-  double reduction = 0.0;
-  double vol = 0.0;
-  double churn = 0.0;
-  std::uint64_t reduction_error_bound = 0;  // worst-case rank displacement
-  std::uint64_t vol_error_bound = 0;
-  std::uint64_t churn_error_bound = 0;
-  std::uint64_t eligible_count = 0;  // hosts behind the reduction threshold
-  std::uint64_t reduced_count = 0;   // hosts surviving data reduction
-};
-
-struct MergedPipelineReport {
-  MergedThresholds thresholds;
-  std::size_t shard_count = 0;
-  /// Shard-local clusters exported to the level-two stitch.
-  std::size_t representatives = 0;
-  /// Strict `>` selected nobody and the reduction fell back to `>=`
-  /// (ReductionComparison::kStrictThenInclusive's degenerate case, decided
-  /// on the *global* strict-survivor count).
-  bool reduction_inclusive = false;
-};
-
 struct MergedResult {
   detect::FindPlottersResult result;
-  MergedPipelineReport report;
 };
 
-/// Runs the merged FindPlotters pipeline over per-shard feature maps (one
-/// entry per shard, host-disjoint by the routing invariant). `caches` must
-/// be empty or have one (possibly null) HmCache* per shard — each shard's
-/// level-one clustering keeps its own warm cache. `sketch_k` is the
-/// QuantileSketch capacity. Deterministic for fixed inputs at every thread
-/// count. Throws util::ConfigError if `caches` is non-empty with a size
-/// other than shard_features.size().
+/// find_plotters over the union of `shard_features`, with `caches[0]` as
+/// the θ_hm cache (none when `caches` is empty). The verdict is the batch
+/// oracle's. The last parameter is ignored. Throws util::ConfigError if a
+/// host appears in two maps.
 [[nodiscard]] MergedResult merged_find_plotters(
     std::span<const detect::FeatureMap> shard_features,
     const detect::FindPlottersConfig& config, std::span<detect::HmCache* const> caches = {},
-    std::size_t sketch_k = 1024);
+    std::size_t = 0);
 
 }  // namespace tradeplot::shard

@@ -25,7 +25,9 @@ obs::Counter& shard_windows_counter() {
 }
 
 constexpr std::uint32_t kShardCkptMagic = 0x48535054;  // "TPSH" on the wire
-constexpr std::uint32_t kShardCkptVersion = 1;
+// Version 2: one detector-wide θ_hm cache section after the accumulators
+// (version 1 held one cache per shard).
+constexpr std::uint32_t kShardCkptVersion = 2;
 constexpr std::uint64_t kShardCkptMaxPayload = 1ull << 30;
 
 }  // namespace
@@ -40,10 +42,10 @@ ShardedDetector::ShardedDetector(ShardedConfig config, VerdictSink sink)
     throw util::ConfigError("ShardedDetector: window must be > 0");
   if (!sink_) throw util::ConfigError("ShardedDetector: verdict sink required");
   accumulators_.resize(config_.shards);
-  caches_.resize(config_.shards);
   ops_.resize(config_.shards);
-  shard_budget_ = config_.shards == 1 ? config_.timing_budget
-                                      : config_.timing_budget / config_.shards;
+  // Rounded up: a budget below the shard count must still shed (0 would
+  // mean unlimited).
+  shard_budget_ = (config_.timing_budget + config_.shards - 1) / config_.shards;
 }
 
 std::size_t ShardedDetector::shard_host_count(std::size_t s) const {
@@ -166,37 +168,19 @@ void ShardedDetector::emit() {
     verdict.hosts_shed = hosts_shed;
     verdict.timing_samples_shed = samples_shed;
 
-    if (shards == 1) {
-      // Single shard: the exact StreamingDetector code path, bit for bit.
-      if (!shard_features[0].empty()) {
-        verdict.result = detect::find_plotters(shard_features[0], config_.pipeline,
-                                               config_.signature_cache ? &caches_[0] : nullptr);
-      }
-      verdict.features = std::move(shard_features[0]);
-      last_report_ = MergedPipelineReport{};
-      last_report_.shard_count = 1;
-    } else {
-      std::size_t total_hosts = 0;
-      for (const detect::FeatureMap& m : shard_features) total_hosts += m.size();
-      if (total_hosts > 0) {
-        std::vector<detect::HmCache*> caches;
-        if (config_.signature_cache) {
-          caches.reserve(shards);
-          for (detect::HmCache& c : caches_) caches.push_back(&c);
-        }
-        MergedResult m = merged_find_plotters(shard_features, config_.pipeline, caches,
-                                              config_.sketch_k);
-        verdict.result = std::move(m.result);
-        last_report_ = m.report;
-      } else {
-        last_report_ = MergedPipelineReport{};
-        last_report_.shard_count = shards;
-      }
-      verdict.features.reserve(total_hosts);
-      for (detect::FeatureMap& m : shard_features) {
-        for (auto& [host, f] : m) verdict.features.emplace(host, std::move(f));
-      }
+    // The ring gives every host one shard, so the maps are disjoint and
+    // their union is the single detector's map: one find_plotters over it
+    // is the oracle's verdict. all_hosts sorts, so map order is irrelevant.
+    std::size_t total_hosts = 0;
+    for (const detect::FeatureMap& m : shard_features) total_hosts += m.size();
+    verdict.features = std::move(shard_features[0]);
+    verdict.features.reserve(total_hosts);
+    for (std::size_t s = 1; s < shards; ++s) {
+      for (auto& [host, f] : shard_features[s]) verdict.features.emplace(host, std::move(f));
+      shard_features[s] = detect::FeatureMap{};  // free the husks before θ_hm
     }
+    verdict.result = detect::find_plotters(verdict.features, config_.pipeline,
+                                           config_.signature_cache ? &cache_ : nullptr);
     sink_(verdict);
   }
 
@@ -226,8 +210,8 @@ void ShardedDetector::flush() {
 
 // ---------------------------------------------------------------------------
 // Checkpoint: the same framing discipline as the TPCK image (magic, version,
-// payload size, CRC-32) under its own magic, with one state section per
-// shard. The routing geometry (shard count, vnodes) is part of the payload:
+// payload size, CRC-32) under its own magic: the window cursor, one
+// accumulator section per shard, then the detector-wide θ_hm cache. The routing geometry (shard count, vnodes) is part of the payload:
 // restoring into a different geometry would silently send future flows of a
 // host to a shard that does not hold its accumulated state.
 
@@ -243,10 +227,8 @@ void ShardedDetector::save_checkpoint(std::ostream& out) const {
   w.put(static_cast<std::uint64_t>(flows_in_window_));
   w.put(static_cast<std::uint64_t>(windows_emitted_));
   w.put(flows_ingested_total_);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    accumulators_[s].encode(w);
-    caches_[s].encode(w);
-  }
+  for (const detect::WindowAccumulator& acc : accumulators_) acc.encode(w);
+  cache_.encode(w);
 
   const std::string& payload = w.bytes();
   const std::uint32_t crc = util::crc32(payload.data(), payload.size());
@@ -307,15 +289,13 @@ void ShardedDetector::restore_checkpoint(std::istream& in) {
   const auto windows_emitted = r.take<std::uint64_t>();
   const auto flows_total = r.take<std::uint64_t>();
   std::vector<detect::WindowAccumulator> accumulators(config_.shards);
-  std::vector<detect::HmCache> caches(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    accumulators[s].decode(r);
-    caches[s].decode(r);
-  }
+  for (detect::WindowAccumulator& acc : accumulators) acc.decode(r);
+  detect::HmCache cache;
+  cache.decode(r);
   if (!r.exhausted()) throw util::ParseError("shard checkpoint: trailing bytes in payload");
 
   accumulators_ = std::move(accumulators);
-  caches_ = std::move(caches);
+  cache_ = std::move(cache);
   window_open_ = open != 0;
   window_start_ = window_start;
   flows_in_window_ = static_cast<std::size_t>(flows_in_window);

@@ -4,25 +4,24 @@
 // and responder state lives in one WindowAccumulator, so ingest is serial by
 // construction. ShardedDetector splits the host space across N worker
 // shards with a consistent-hash ring (shard/ring.h): each shard owns its
-// own WindowAccumulator (columnar ingest path), its own θ_hm signature
-// cache, its own checkpoint section, and its own obs gauges. A batch is
-// routed once on the ingest thread — a cheap per-row ring lookup producing
-// per-shard op lists — and the expensive per-host accumulation (hash-map
-// touches, timing buffers) then runs shard-parallel on util::ThreadPool
-// workers, each worker touching only its own shard's state (no locks, no
-// sharing).
+// own WindowAccumulator (columnar ingest path), its own checkpoint section,
+// and its own obs gauge. A batch is routed once on the ingest thread — a
+// cheap per-row ring lookup producing per-shard op lists — and the
+// expensive per-host accumulation (hash-map touches, timing buffers) then
+// runs shard-parallel on util::ThreadPool workers, each worker touching
+// only its own shard's state (no locks, no sharing).
 //
 // Per-host op order is preserved: a host's ops land in its shard's list in
 // row order, and each shard applies its list in order, so every shard's
 // accumulator sees exactly the sub-sequence of flows it owns, in arrival
-// order. With N == 1 the routed sequence is the full sequence, the timing
-// budget and shed points coincide with StreamingDetector's, and the window
-// verdicts are bit-identical to it.
+// order, and finalizes the same per-host features the single detector
+// would.
 //
-// At a window close every shard finalizes its features in parallel;
-// verdicts then come from find_plotters directly at N == 1, or from the
-// global merge stage (shard/merge.h: merged quantile sketches for the
-// relative thresholds, two-level θ_hm clustering) at N > 1.
+// At a window close every shard finalizes its features in parallel. The
+// shards share no hosts, so their maps are moved into one FeatureMap and
+// find_plotters runs once over it with one detector-wide θ_hm cache: the
+// verdict is the single detector's at every shard and thread count. Only a
+// timing budget can make them differ (see ShardedConfig::timing_budget).
 #pragma once
 
 #include <cstdint>
@@ -35,13 +34,13 @@
 #include "detect/accumulator.h"
 #include "detect/hm_cache.h"
 #include "detect/streaming.h"
-#include "shard/merge.h"
 #include "shard/ring.h"
 
 namespace tradeplot::shard {
 
 struct ShardedConfig {
-  /// Worker shards. 1 reproduces StreamingDetector bit for bit.
+  /// Worker shards. With no timing budget every count reproduces
+  /// StreamingDetector bit for bit.
   std::size_t shards = 1;
   /// Ring points per shard (balance knob; part of the checkpoint identity).
   std::size_t vnodes = HashRing::kDefaultVnodes;
@@ -53,18 +52,18 @@ struct ShardedConfig {
   double new_ip_grace = 3600.0;
   detect::FindPlottersConfig pipeline{};
   /// Whole-detector timing-sample budget (0 = unlimited). Each shard
-  /// enforces budget/shards over its own hosts (the exact global shed order
-  /// would need cross-shard coordination on the hot path); at shards == 1
-  /// the whole budget applies, preserving bit-identity.
+  /// enforces ceil(budget/shards) over its own hosts, so any non-zero budget
+  /// sheds; the exact global shed order would need cross-shard coordination
+  /// on the hot path, so at shards > 1 a budgeted window may shed other
+  /// hosts than StreamingDetector does. At shards == 1 the whole budget
+  /// applies, preserving bit-identity.
   std::size_t timing_budget = 0;
-  /// Per-shard θ_hm signature caches (see detect/hm_cache.h).
+  /// Detector-wide θ_hm signature cache (see detect/hm_cache.h).
   bool signature_cache = true;
-  /// Worker threads for shard dispatch and window close (0 =
+  /// Worker threads for shard dispatch and finalize (0 =
   /// TRADEPLOT_THREADS / hardware concurrency; results are identical at
   /// every thread count).
   std::size_t threads = 0;
-  /// Capacity of the merged threshold sketches (shards > 1 only).
-  std::size_t sketch_k = 1024;
 };
 
 class ShardedDetector {
@@ -94,14 +93,9 @@ class ShardedDetector {
   [[nodiscard]] std::uint64_t flows_ingested_total() const { return flows_ingested_total_; }
   /// Hosts currently tracked by shard `s` (bench/test introspection).
   [[nodiscard]] std::size_t shard_host_count(std::size_t s) const;
-  /// The merge-stage report of the last emitted window (thresholds, sketch
-  /// error bounds, representative count). Meaningful only at shards > 1.
-  [[nodiscard]] const MergedPipelineReport& last_merge_report() const {
-    return last_report_;
-  }
 
   /// Versioned, CRC-checked image of the full detector: the global window
-  /// cursor plus one state section per shard (accumulator + θ_hm cache).
+  /// cursor, one accumulator section per shard, then the θ_hm cache.
   /// The shard/vnode geometry is part of the image; restoring into a
   /// detector with a different window, grace, shard count, or vnode count
   /// throws util::ConfigError (the routing would no longer match the saved
@@ -123,15 +117,13 @@ class ShardedDetector {
   std::size_t shard_budget_ = 0;  // per-shard timing budget
 
   std::vector<detect::WindowAccumulator> accumulators_;
-  std::vector<detect::HmCache> caches_;
+  detect::HmCache cache_;
 
   /// Per-shard routed op lists for the batch segment being ingested: row
   /// index with the top bit marking a responder-side op.
   static constexpr std::uint32_t kResponderBit = 0x80000000u;
   std::vector<std::vector<std::uint32_t>> ops_;
   std::size_t ops_pending_ = 0;
-
-  MergedPipelineReport last_report_{};
 
   double window_start_ = 0.0;
   bool window_open_ = false;

@@ -13,8 +13,8 @@ Drives the built binaries end to end:
   3. --shards 1 is the bit-identity contract at the CLI: its full stdout
      (banner aside, which is identical at one shard anyway) must equal the
      legacy single-detector run's byte for byte;
-  4. --shards 4 smoke: streams the same trace through the merged pipeline
-     and still exits 0 with a summary line.
+  4. --shards 4 reaches the same verdicts: every line of its stdout except
+     the shard banner must equal the --shards 1 run's.
 
 Run by ctest as CliShardTest; paths to the binaries arrive as flags.
 """
@@ -87,11 +87,18 @@ def main():
             f"--- legacy ---\n{legacy.stdout}\n--- shards 1 ---\n{one.stdout}",
         )
 
-        # 4. Merged pipeline smoke at N > 1.
+        # 4. --shards 4 == --shards 1, banner aside.
         four = run([args.campus_monitor, "--stream", trace, "1800", "--shards", "4"])
         check(four.returncode == 0, f"--shards 4 stream failed: {four.stderr}")
-        check("4 worker shards" in four.stdout, f"missing shard banner: {four.stdout}")
+        four_lines, one_lines = four.stdout.splitlines(), one.stdout.splitlines()
+        check(four_lines and "4 worker shards" in four_lines[0],
+              f"missing shard banner: {four.stdout}")
         check("=== summary:" in four.stdout, f"missing summary: {four.stdout}")
+        check(
+            four_lines[1:] == one_lines[1:],
+            "--shards 4 verdicts differ from --shards 1:\n"
+            f"--- shards 1 ---\n{one.stdout}\n--- shards 4 ---\n{four.stdout}",
+        )
 
     print("PASS")
     return 0

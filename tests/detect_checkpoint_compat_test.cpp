@@ -1,12 +1,15 @@
-// Checkpoint images stay readable across accumulator rewrites. tests/data/
-// holds a TPCK and a TPSH image, each cut mid-window after the timing budget
-// shed a host, written by the build that preceded the flat accumulator.
-// Restoring them must finish with the uninterrupted run's verdicts, and a
-// restored image must save back to the same size and, re-restored, to the
-// same bytes.
+// Checkpoint images stay readable across detector rewrites. tests/data/
+// holds a TPCK image, written by the build that preceded the flat
+// accumulator, and a TPSH version 2 image; each is cut mid-window after the
+// timing budget shed a host. Restoring them must finish with the
+// uninterrupted run's verdicts, and a restored image must save back to the
+// same size and, re-restored, to the same bytes. A TPSH version 1 image
+// (one θ_hm cache per shard) is kept too, and must be rejected.
 //
-// The images come from write_checkpoint_images (tests/), built against the
-// code whose layout they pin:  ./build/tests/write_checkpoint_images tests/data
+// write_checkpoint_images (tests/) writes both current images from the
+// code whose layout they pin; sharded_v2.tpsh came from
+//   ./build/tests/write_checkpoint_images tests/data
+// with the committed streaming_v2.tpck then restored from git.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "checkpoint_compat.h"
+#include "util/error.h"
 
 namespace tradeplot::compat {
 namespace {
@@ -126,7 +130,7 @@ TEST(CheckpointCompat, StreamingImageRestoresToUninterruptedVerdicts) {
 
 TEST(CheckpointCompat, ShardedImageRestoresToUninterruptedVerdicts) {
   expect_resume_matches<shard::ShardedDetector>(sharded_config(),
-                                                read_file(data_path("sharded_v1.tpsh")));
+                                                read_file(data_path("sharded_v2.tpsh")));
 }
 
 TEST(CheckpointCompat, StreamingSaveRestoreSaveIsByteIdentical) {
@@ -136,7 +140,18 @@ TEST(CheckpointCompat, StreamingSaveRestoreSaveIsByteIdentical) {
 
 TEST(CheckpointCompat, ShardedSaveRestoreSaveIsByteIdentical) {
   expect_round_trips<shard::ShardedDetector>(sharded_config(),
-                                             read_file(data_path("sharded_v1.tpsh")));
+                                             read_file(data_path("sharded_v2.tpsh")));
+}
+
+TEST(CheckpointCompat, ShardedV1ImageIsRejected) {
+  shard::ShardedDetector d(sharded_config(), [](const detect::WindowVerdict&) {});
+  try {
+    restore(d, read_file(data_path("sharded_v1.tpsh")));
+    FAIL() << "a version 1 image was accepted";
+  } catch (const util::ParseError& e) {
+    EXPECT_STREQ(e.what(), "parse error: shard checkpoint: unsupported version 1");
+  }
+  EXPECT_EQ(d.flows_ingested_total(), 0u);
 }
 
 }  // namespace

@@ -1,36 +1,35 @@
-// ShardedDetector and its merge stage (src/shard/).
+// ShardedDetector (src/shard/).
 //
 // The contracts under test, in the order the subsystem makes them:
 //   * HashRing — deterministic, balanced, ConfigError on degenerate
 //     geometry, short-circuit at one shard;
-//   * shards == 1 — bit-identical verdicts to StreamingDetector (same
-//     pipeline, same shed points, same τ_hm);
-//   * shards > 1 — the scalar stages (data reduction, θ_vol, θ_churn) are
-//     *set-identical* to the single-detector oracle whenever the merged
-//     quantile sketches stayed lossless (population < k), with the reported
-//     error bounds at exactly 0; the two-level θ_hm stage is an
-//     approximation, so its agreement with the oracle is measured and
-//     reported, not asserted to 100%;
-//   * checkpoints — kill-and-restore resumes bit-identically, geometry
-//     mismatches are ConfigError, corruption is ParseError;
-//   * the weighted UPGMA driver — hand-checked Lance–Williams heights;
-//   * human_machine_local — exports singletons (with medoid == member),
-//     which human_machine_test would have suppressed.
+//   * shards == 1 — bit-identical verdicts to StreamingDetector;
+//   * shards > 1 — every stage's survivor set equals the single detector's;
+//   * equality — with no timing budget, at every shard and thread count,
+//     the verdicts and features equal StreamingDetector's bit for bit and
+//     equal batch find_plotters over the same window's flows, below and
+//     above 1024 hosts;
+//   * timing budget — a budget below the shard count still sheds;
+//   * checkpoints — kill-and-restore, cut on or inside a batch, resumes to
+//     the single detector's verdicts; geometry mismatches are ConfigError,
+//     corruption is ParseError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
-#include "detect/human_machine.h"
+#include "detect/features.h"
+#include "detect/find_plotters.h"
 #include "detect/streaming.h"
 #include "netflow/flow_batch.h"
 #include "shard/ring.h"
 #include "shard/sharded_detector.h"
-#include "stats/hcluster.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -40,7 +39,7 @@ namespace {
 bool is_internal(simnet::Ipv4 a) { return (a.value() >> 24) == 10; }
 
 // ---------------------------------------------------------------------------
-// Workload: one detection window with a separable population. "Bot" hosts
+// Workload: detection windows with a separable population. "Bot" hosts
 // run a 60 s timer with millisecond jitter and fail often (they pass data
 // reduction and cluster tightly under θ_hm); "human" hosts browse with
 // lognormal gaps and mostly succeed. Every host revisits a small destination
@@ -53,8 +52,10 @@ struct Event {
   bool failed;
 };
 
+/// One window's flows, starting at `offset` seconds; each call is one batch
+/// sequence, so a window's batches can be fed to batch extraction alone.
 std::vector<netflow::FlowBatch> make_window(std::size_t hosts, std::size_t bots,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed, double offset = 0.0) {
   util::Pcg32 rng(seed);
   std::vector<Event> events;
   for (std::size_t h = 0; h < hosts; ++h) {
@@ -69,7 +70,7 @@ std::vector<netflow::FlowBatch> make_window(std::size_t hosts, std::size_t bots,
                        : simnet::Ipv4(198, static_cast<std::uint8_t>(h % 251),
                                       static_cast<std::uint8_t>(d), 7);
     }
-    double t = rng.uniform(0.0, 600.0);
+    double t = offset + rng.uniform(0.0, 600.0);
     for (int i = 0; i < 130; ++i) {
       t += bot ? 60.0 + rng.uniform(-0.05, 0.05) : rng.lognormal(3.6, 1.0);
       Event e;
@@ -117,16 +118,18 @@ ShardedConfig sharded_config(std::size_t shards) {
   return cfg;
 }
 
-std::vector<detect::WindowVerdict> run_sharded(std::size_t shards,
-                                               const std::vector<netflow::FlowBatch>& batches,
-                                               MergedPipelineReport* report = nullptr) {
+std::vector<detect::WindowVerdict> run_sharded(const ShardedConfig& cfg,
+                                               const std::vector<netflow::FlowBatch>& batches) {
   std::vector<detect::WindowVerdict> verdicts;
-  ShardedDetector detector(sharded_config(shards),
-                           [&](const detect::WindowVerdict& v) { verdicts.push_back(v); });
+  ShardedDetector detector(cfg, [&](const detect::WindowVerdict& v) { verdicts.push_back(v); });
   for (const netflow::FlowBatch& b : batches) detector.ingest(b);
   detector.flush();
-  if (report != nullptr) *report = detector.last_merge_report();
   return verdicts;
+}
+
+std::vector<detect::WindowVerdict> run_sharded(std::size_t shards,
+                                               const std::vector<netflow::FlowBatch>& batches) {
+  return run_sharded(sharded_config(shards), batches);
 }
 
 std::vector<detect::WindowVerdict> run_streaming(
@@ -139,38 +142,93 @@ std::vector<detect::WindowVerdict> run_streaming(
   return verdicts;
 }
 
-detect::HostSet sorted(detect::HostSet s) {
-  std::sort(s.begin(), s.end());
-  return s;
+std::vector<double> sorted_gaps(const detect::HostFeatures& f) {
+  std::vector<double> g = f.interstitials;
+  std::sort(g.begin(), g.end());
+  return g;
 }
 
-double jaccard(const detect::HostSet& a, const detect::HostSet& b) {
-  const detect::HostSet sa = sorted(a), sb = sorted(b);
-  detect::HostSet inter, uni;
-  std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(), std::back_inserter(inter));
-  std::set_union(sa.begin(), sa.end(), sb.begin(), sb.end(), std::back_inserter(uni));
-  return uni.empty() ? 1.0 : static_cast<double>(inter.size()) / static_cast<double>(uni.size());
+/// Every FindPlottersResult field. The θ_hm work counters that depend on
+/// the cache's history (kernel evaluations vs cache hits) are compared only
+/// when both sides ran with the same cache history.
+void expect_results_equal(const detect::FindPlottersResult& a,
+                          const detect::FindPlottersResult& b, bool same_cache_history) {
+  EXPECT_EQ(a.input, b.input);
+  EXPECT_EQ(a.reduced, b.reduced);
+  EXPECT_EQ(a.s_vol, b.s_vol);
+  EXPECT_EQ(a.s_churn, b.s_churn);
+  EXPECT_EQ(a.vol_or_churn, b.vol_or_churn);
+  EXPECT_EQ(a.plotters, b.plotters);
+  EXPECT_EQ(a.hm.flagged, b.hm.flagged);
+  EXPECT_EQ(a.hm.tau_hm, b.hm.tau_hm);
+  EXPECT_EQ(a.hm.skipped, b.hm.skipped);
+  EXPECT_EQ(a.hm.degenerate, b.hm.degenerate);
+  EXPECT_EQ(a.hm.degraded, b.hm.degraded);
+  ASSERT_EQ(a.hm.clusters.size(), b.hm.clusters.size());
+  for (std::size_t c = 0; c < a.hm.clusters.size(); ++c) {
+    EXPECT_EQ(a.hm.clusters[c].members, b.hm.clusters[c].members);
+    EXPECT_EQ(a.hm.clusters[c].diameter, b.hm.clusters[c].diameter);
+    EXPECT_EQ(a.hm.clusters[c].kept, b.hm.clusters[c].kept);
+  }
+  const detect::HmPruneStats& pa = a.hm.prune;
+  const detect::HmPruneStats& pb = b.hm.prune;
+  EXPECT_EQ(pa.used, pb.used);
+  EXPECT_EQ(pa.pairs_total, pb.pairs_total);
+  EXPECT_EQ(pa.resolved_pairs, pb.resolved_pairs);
+  EXPECT_EQ(pa.pivots, pb.pivots);
+  EXPECT_EQ(pa.scanned, pb.scanned);
+  EXPECT_EQ(pa.skipped_pivot, pb.skipped_pivot);
+  EXPECT_EQ(pa.skipped_grid, pb.skipped_grid);
+  EXPECT_EQ(pa.scan_cache_hits, pb.scan_cache_hits);
+  EXPECT_EQ(pa.bloom_skips, pb.bloom_skips);
+  if (same_cache_history) {
+    EXPECT_EQ(pa.exact_kernel_evals, pb.exact_kernel_evals);
+    EXPECT_EQ(pa.cache_hits, pb.cache_hits);
+  }
+}
+
+/// Same hosts with the same features. Interstitial order is compared
+/// exactly when `exact_order`, else as a multiset (the batch extractor pools
+/// destinations in its own order).
+void expect_features_equal(const detect::FeatureMap& a, const detect::FeatureMap& b,
+                           bool exact_order) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [host, fa] : a) {
+    SCOPED_TRACE(host.to_string());
+    const auto it = b.find(host);
+    ASSERT_NE(it, b.end());
+    const detect::HostFeatures& fb = it->second;
+    EXPECT_EQ(fa.host, fb.host);
+    EXPECT_EQ(fa.flows_initiated, fb.flows_initiated);
+    EXPECT_EQ(fa.flows_failed, fb.flows_failed);
+    EXPECT_EQ(fa.flows_received, fb.flows_received);
+    EXPECT_EQ(fa.bytes_sent_initiated, fb.bytes_sent_initiated);
+    EXPECT_EQ(fa.bytes_sent_received, fb.bytes_sent_received);
+    EXPECT_EQ(fa.distinct_dsts, fb.distinct_dsts);
+    EXPECT_EQ(fa.dsts_after_first_hour, fb.dsts_after_first_hour);
+    EXPECT_EQ(fa.first_activity, fb.first_activity);
+    if (exact_order) {
+      EXPECT_EQ(fa.interstitials, fb.interstitials);
+    } else {
+      EXPECT_EQ(sorted_gaps(fa), sorted_gaps(fb));
+    }
+  }
 }
 
 void expect_verdicts_bit_identical(const std::vector<detect::WindowVerdict>& a,
                                    const std::vector<detect::WindowVerdict>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
     EXPECT_EQ(a[i].window_index, b[i].window_index);
     EXPECT_EQ(a[i].window_start, b[i].window_start);
+    EXPECT_EQ(a[i].window_end, b[i].window_end);
     EXPECT_EQ(a[i].flows_seen, b[i].flows_seen);
     EXPECT_EQ(a[i].degraded, b[i].degraded);
-    EXPECT_EQ(sorted(a[i].result.plotters), sorted(b[i].result.plotters));
-    EXPECT_EQ(sorted(a[i].result.reduced), sorted(b[i].result.reduced));
-    EXPECT_EQ(sorted(a[i].result.s_vol), sorted(b[i].result.s_vol));
-    EXPECT_EQ(sorted(a[i].result.s_churn), sorted(b[i].result.s_churn));
-    EXPECT_EQ(a[i].result.hm.tau_hm, b[i].result.hm.tau_hm);
-    ASSERT_EQ(a[i].result.hm.clusters.size(), b[i].result.hm.clusters.size());
-    for (std::size_t c = 0; c < a[i].result.hm.clusters.size(); ++c) {
-      EXPECT_EQ(a[i].result.hm.clusters[c].members, b[i].result.hm.clusters[c].members);
-      EXPECT_EQ(a[i].result.hm.clusters[c].diameter, b[i].result.hm.clusters[c].diameter);
-      EXPECT_EQ(a[i].result.hm.clusters[c].kept, b[i].result.hm.clusters[c].kept);
-    }
+    EXPECT_EQ(a[i].hosts_shed, b[i].hosts_shed);
+    EXPECT_EQ(a[i].timing_samples_shed, b[i].timing_samples_shed);
+    expect_results_equal(a[i].result, b[i].result, true);
+    expect_features_equal(a[i].features, b[i].features, true);
   }
 }
 
@@ -257,6 +315,74 @@ TEST(HashRingTest, RejectsDegenerateGeometry) {
 }
 
 // ---------------------------------------------------------------------------
+// Equality with the single detector and the batch oracle
+
+/// Two consecutive 6 h windows over the same hosts (the second window's
+/// θ_hm runs against the first's warm cache), with their references:
+/// StreamingDetector's verdicts, and per window batch feature extraction
+/// plus find_plotters over that window's flows alone.
+struct Population {
+  std::vector<netflow::FlowBatch> batches;
+  std::vector<detect::WindowVerdict> streaming;
+  std::vector<detect::FeatureMap> batch_features;
+  std::vector<detect::FindPlottersResult> batch_results;
+};
+
+Population population(std::size_t hosts) {
+  Population p;
+  const std::size_t bots = hosts / 20;
+  detect::FeatureExtractorConfig fx;
+  fx.is_internal = is_internal;
+  for (std::size_t w = 0; w < 2; ++w) {
+    std::vector<netflow::FlowBatch> window = make_window(hosts, bots, 71 + w, w * 6 * 3600.0);
+    p.batch_features.push_back(detect::extract_features(window, fx));
+    p.batch_results.push_back(detect::find_plotters(p.batch_features.back()));
+    for (netflow::FlowBatch& b : window) p.batches.push_back(std::move(b));
+  }
+  p.streaming = run_streaming(p.batches);
+  return p;
+}
+
+/// (hosts, shards, threads)
+class ShardedEqualityTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
+
+TEST_P(ShardedEqualityTest, VerdictsEqualStreamingAndBatchOracle) {
+  const auto [hosts, shards, threads] = GetParam();
+  const Population p = population(hosts);
+  ShardedConfig cfg = sharded_config(shards);
+  cfg.threads = threads;
+  cfg.pipeline.human_machine.threads = threads;
+  ASSERT_EQ(cfg.timing_budget, 0u);
+  const auto verdicts = run_sharded(cfg, p.batches);
+
+  ASSERT_EQ(p.streaming.size(), 2u);
+  expect_verdicts_bit_identical(verdicts, p.streaming);
+  for (std::size_t w = 0; w < verdicts.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w) + " vs batch");
+    expect_results_equal(verdicts[w].result, p.batch_results[w], false);
+    expect_features_equal(verdicts[w].features, p.batch_features[w], false);
+  }
+  // The population is large enough to matter: past the reduction, into
+  // θ_hm, with the bots flagged.
+  EXPECT_GT(verdicts[0].result.input.size(), hosts);
+  EXPECT_FALSE(verdicts[0].result.plotters.empty());
+  EXPECT_FALSE(verdicts[1].result.plotters.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostsShardsThreads, ShardedEqualityTest,
+    ::testing::Combine(::testing::Values(std::size_t{160}, std::size_t{1100}),
+                       ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                         std::size_t{4}, std::size_t{8}),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& info) {
+      return "h" + std::to_string(std::get<0>(info.param)) + "_s" +
+             std::to_string(std::get<1>(info.param)) + "_t" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
 // shards == 1: bit-identity with the single streaming detector
 
 TEST(ShardedDetectorTest, OneShardMatchesStreamingDetectorBitForBit) {
@@ -268,47 +394,30 @@ TEST(ShardedDetectorTest, OneShardMatchesStreamingDetectorBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// shards > 1: scalar stages exact in the lossless regime, θ_hm agreement
-// measured and reported
+// shards > 1: the merge computes exact thresholds over the union of the
+// shards' features, so every stage's survivor set equals the single
+// detector's with no error bound to report, θ_hm included.
 
 class MergedOracleTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MergedOracleTest, ScalarStagesMatchOracleWithZeroErrorBound) {
   const std::size_t shards = GetParam();
-  const auto batches = make_window(220, 16, 43);  // population << sketch k = 1024
+  const auto batches = make_window(220, 16, 43);
   const auto reference = run_streaming(batches);
-  MergedPipelineReport report;
-  const auto merged = run_sharded(shards, batches, &report);
+  const auto merged = run_sharded(shards, batches);
   ASSERT_EQ(reference.size(), 1u);
   ASSERT_EQ(merged.size(), 1u);
 
-  // Lossless sketches: bounds must be exactly zero and every scalar stage's
-  // survivor set identical to the single-detector pipeline.
-  EXPECT_EQ(report.thresholds.reduction_error_bound, 0u);
-  EXPECT_EQ(report.thresholds.vol_error_bound, 0u);
-  EXPECT_EQ(report.thresholds.churn_error_bound, 0u);
-  EXPECT_EQ(sorted(merged[0].result.input), sorted(reference[0].result.input));
-  EXPECT_EQ(sorted(merged[0].result.reduced), sorted(reference[0].result.reduced));
-  EXPECT_EQ(sorted(merged[0].result.s_vol), sorted(reference[0].result.s_vol));
-  EXPECT_EQ(sorted(merged[0].result.s_churn), sorted(reference[0].result.s_churn));
-  EXPECT_EQ(sorted(merged[0].result.vol_or_churn), sorted(reference[0].result.vol_or_churn));
-
-  // θ_hm is the documented approximation (stitched-diameter upper bounds,
-  // two cuts): measure and report agreement with the oracle instead of
-  // pretending it is exact. The bots' tight timer cluster must survive the
-  // stitch, so agreement cannot be degenerate.
-  const double agreement =
-      jaccard(merged[0].result.plotters, reference[0].result.plotters);
-  ::testing::Test::RecordProperty("theta_hm_jaccard_x1000",
-                                  static_cast<int>(agreement * 1000));
-  std::printf("[ shards=%zu ] theta_hm verdict agreement (Jaccard): %.3f "
-              "(merged %zu vs oracle %zu plotters, %zu representatives)\n",
-              shards, agreement, merged[0].result.plotters.size(),
-              reference[0].result.plotters.size(), report.representatives);
-  EXPECT_FALSE(reference[0].result.plotters.empty());
-  EXPECT_GT(agreement, 0.0);
-  EXPECT_GT(report.representatives, 0u);
-  EXPECT_EQ(report.shard_count, shards);
+  const detect::FindPlottersResult& m = merged[0].result;
+  const detect::FindPlottersResult& r = reference[0].result;
+  EXPECT_EQ(m.input, r.input);
+  EXPECT_EQ(m.reduced, r.reduced);
+  EXPECT_EQ(m.s_vol, r.s_vol);
+  EXPECT_EQ(m.s_churn, r.s_churn);
+  EXPECT_EQ(m.vol_or_churn, r.vol_or_churn);
+  EXPECT_EQ(m.hm.tau_hm, r.hm.tau_hm);
+  EXPECT_EQ(m.plotters, r.plotters);
+  EXPECT_FALSE(r.plotters.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, MergedOracleTest, ::testing::Values(2u, 8u));
@@ -320,31 +429,51 @@ TEST(ShardedDetectorTest, MergedRunIsDeterministic) {
   expect_verdicts_bit_identical(a, b);
 }
 
+TEST(ShardedDetectorTest, BudgetBelowShardCountStillSheds) {
+  // Budget 3 over 4 shards: each shard gets ceil(3/4) = 1 sample, not
+  // 3/4 = 0, which would mean unlimited.
+  ShardedConfig cfg = sharded_config(4);
+  cfg.timing_budget = 3;
+  const auto verdicts = run_sharded(cfg, make_window(60, 4, 73));
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].degraded);
+  EXPECT_GT(verdicts[0].hosts_shed, 0u);
+  EXPECT_GT(verdicts[0].timing_samples_shed, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoints
 
 TEST(ShardedCheckpointTest, KillAndRestoreResumesBitIdentically) {
-  const auto batches = make_window(100, 8, 53);
-  const std::size_t cut = batches.size() / 2;
+  // Cut in the first window, on a batch boundary and inside a batch; the
+  // second window's θ_hm then runs against the restored cache section. The
+  // resumed 4-shard run must equal the uninterrupted single detector.
+  const Population p = population(160);
   const auto tmp = std::filesystem::temp_directory_path() / "tp_shard_ckpt_test.bin";
+  for (const std::size_t cut_row : {std::size_t{0}, p.batches[0].size() / 3}) {
+    const std::size_t cut_batch = p.batches.size() / 4;
+    SCOPED_TRACE("cut at row " + std::to_string(cut_row) + " of batch " +
+                 std::to_string(cut_batch));
+    ASSERT_LT(p.batches[cut_batch].start_time()[cut_row], 6 * 3600.0);  // first window
 
-  const auto reference = run_sharded(4, batches);
+    std::vector<detect::WindowVerdict> resumed;
+    const auto sink = [&](const detect::WindowVerdict& v) { resumed.push_back(v); };
+    {
+      ShardedDetector first(sharded_config(4), sink);
+      for (std::size_t i = 0; i < cut_batch; ++i) first.ingest(p.batches[i]);
+      first.ingest(p.batches[cut_batch], 0, cut_row);
+      first.save_checkpoint_file(tmp.string());
+      // `first` is abandoned here: the simulated kill -9.
+    }
+    ShardedDetector second(sharded_config(4), sink);
+    second.restore_checkpoint_file(tmp.string());
+    second.ingest(p.batches[cut_batch], cut_row, p.batches[cut_batch].size());
+    for (std::size_t i = cut_batch + 1; i < p.batches.size(); ++i) second.ingest(p.batches[i]);
+    second.flush();
+    std::filesystem::remove(tmp);
 
-  std::vector<detect::WindowVerdict> resumed;
-  const auto sink = [&](const detect::WindowVerdict& v) { resumed.push_back(v); };
-  {
-    ShardedDetector first(sharded_config(4), sink);
-    for (std::size_t i = 0; i < cut; ++i) first.ingest(batches[i]);
-    first.save_checkpoint_file(tmp.string());
-    // `first` is abandoned here: the simulated kill -9.
+    expect_verdicts_bit_identical(resumed, p.streaming);
   }
-  ShardedDetector second(sharded_config(4), sink);
-  second.restore_checkpoint_file(tmp.string());
-  for (std::size_t i = cut; i < batches.size(); ++i) second.ingest(batches[i]);
-  second.flush();
-  std::filesystem::remove(tmp);
-
-  expect_verdicts_bit_identical(resumed, reference);
 }
 
 TEST(ShardedCheckpointTest, GeometryMismatchIsConfigError) {
@@ -402,73 +531,6 @@ TEST(ShardedDetectorTest, RejectsDegenerateConfig) {
   no_pred.is_internal = nullptr;
   EXPECT_THROW(ShardedDetector(no_pred, [](const detect::WindowVerdict&) {}),
                util::ConfigError);
-}
-
-// ---------------------------------------------------------------------------
-// Level-two building blocks
-
-TEST(WeightedUpgmaTest, HandComputedLanceWilliamsHeights) {
-  // Leaves {0,1,2} with weights {2,1,1}: d(0,1)=1, d(0,2)=4, d(1,2)=5.
-  // First merge joins (0,1) at height 1. The merged node's distance to leaf
-  // 2 under weighted average linkage is (2*4 + 1*5) / 3 = 13/3 — the height
-  // unweighted UPGMA would produce had leaf 0 been two coincident points.
-  const std::size_t n = 3;
-  std::vector<double> dist(n * n, 0.0);
-  const auto set = [&](std::size_t i, std::size_t j, double d) {
-    dist[i * n + j] = dist[j * n + i] = d;
-  };
-  set(0, 1, 1.0);
-  set(0, 2, 4.0);
-  set(1, 2, 5.0);
-  const std::vector<std::size_t> weights{2, 1, 1};
-  const stats::Dendrogram dendrogram =
-      stats::agglomerative_average_linkage_weighted(dist, n, weights);
-  ASSERT_EQ(dendrogram.merges().size(), 2u);
-  EXPECT_DOUBLE_EQ(dendrogram.merges()[0].height, 1.0);
-  EXPECT_EQ(dendrogram.merges()[0].size, 3u);  // sizes count original items
-  EXPECT_DOUBLE_EQ(dendrogram.merges()[1].height, 13.0 / 3.0);
-  EXPECT_EQ(dendrogram.merges()[1].size, 4u);
-
-  EXPECT_THROW(stats::agglomerative_average_linkage_weighted(
-                   dist, n, std::vector<std::size_t>{2, 1}),
-               util::ConfigError);
-  EXPECT_THROW(stats::agglomerative_average_linkage_weighted(
-                   dist, n, std::vector<std::size_t>{2, 1, 0}),
-               util::ConfigError);
-}
-
-TEST(HumanMachineLocalTest, ExportsSingletonsWithSelfMedoid) {
-  // A population too small and too scattered for human_machine_test to keep
-  // anything (min_cluster_size = 3) must still come back from the local
-  // level in full: the merge stage, not the shard, decides cluster fates.
-  const auto batches = make_window(24, 0, 67);
-  std::vector<detect::WindowVerdict> verdicts;
-  detect::StreamingDetector detector(
-      streaming_config(), [&](const detect::WindowVerdict& v) { verdicts.push_back(v); });
-  for (const netflow::FlowBatch& b : batches) detector.ingest(b);
-  detector.flush();
-  ASSERT_EQ(verdicts.size(), 1u);
-  const detect::FeatureMap& features = verdicts[0].features;
-
-  detect::HostSet input;
-  for (const auto& [addr, feat] : features)
-    if (is_internal(addr)) input.push_back(addr);
-  std::sort(input.begin(), input.end());
-
-  const detect::LocalClusterResult local = detect::human_machine_local(features, input);
-  std::size_t exported = 0;
-  for (const detect::LocalCluster& c : local.clusters) {
-    exported += c.members.size();
-    ASSERT_FALSE(c.members.empty());
-    EXPECT_TRUE(std::is_sorted(c.members.begin(), c.members.end()));
-    EXPECT_TRUE(std::find(c.members.begin(), c.members.end(), c.medoid) != c.members.end());
-    if (c.members.size() == 1) {
-      EXPECT_EQ(c.medoid, c.members[0]);
-      EXPECT_EQ(c.diameter, 0.0);
-    }
-  }
-  // Everything eligible is exported — no min_cluster_size floor, no τ_hm.
-  EXPECT_EQ(exported + local.skipped.size(), input.size());
 }
 
 }  // namespace

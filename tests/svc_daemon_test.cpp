@@ -495,6 +495,26 @@ TEST(Daemon, CorruptCheckpointIsQuarantinedAndServiceStartsFresh) {
   EXPECT_EQ(read_deduped_log(cfg.state_dir + "/campus.verdicts.jsonl"), expected);
 }
 
+TEST(Daemon, ShardedV1CheckpointIsQuarantinedAndTenantStartsFresh) {
+  // A TPSH version 1 image (one θ_hm cache per shard), saved with the same
+  // geometry as this tenant: only its version is wrong.
+  const std::string dir = make_temp_dir();
+  TenantParams params;
+  params.name = "sharded";
+  params.window = 3600.0;
+  params.shards = 3;
+  copy_file(std::string(TP_TEST_DATA_DIR) + "/sharded_v1.tpsh", dir + "/sharded.ckpt");
+  Tenant tenant(params, dir, util::Clock::system());
+  tenant.start();
+  EXPECT_EQ(tenant.stats().restore_failures, 1u);
+  EXPECT_EQ(tenant.stats().ingested, 0u);  // fresh start
+  EXPECT_TRUE(std::ifstream(dir + "/sharded.ckpt.corrupt").is_open());
+
+  (void)tenant.offer(batch_of(200));
+  EXPECT_EQ(tenant.flush_barrier().ingested, 200u);
+  tenant.stop();
+}
+
 TEST(Daemon, HttpSidecarServesHealthReadinessAndTenants) {
   const std::string dir = make_temp_dir();
   DaemonConfig cfg = base_config(dir, "campus");

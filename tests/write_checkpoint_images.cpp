@@ -22,6 +22,6 @@ int main(int argc, char** argv) {
     h.ingest(t.flows()[i]);
   }
   s.save_checkpoint_file(out + "/streaming_v2.tpck");
-  h.save_checkpoint_file(out + "/sharded_v1.tpsh");
+  h.save_checkpoint_file(out + "/sharded_v2.tpsh");
   return 0;
 }
